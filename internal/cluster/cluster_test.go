@@ -143,6 +143,8 @@ type testNet struct {
 	mu       sync.Mutex
 	handlers map[string]http.Handler
 	down     map[string]bool
+	// tap, when set, sees every request before its handler does.
+	tap func(*http.Request)
 }
 
 func newTestNet() *testNet {
@@ -167,9 +169,13 @@ func (n *testNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	n.mu.Lock()
 	h, ok := n.handlers[req.URL.Host]
 	down := n.down[req.URL.Host]
+	tap := n.tap
 	n.mu.Unlock()
 	if !ok || down {
 		return nil, fmt.Errorf("dial tcp %s: connection refused", req.URL.Host)
+	}
+	if tap != nil {
+		tap(req)
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)

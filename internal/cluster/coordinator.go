@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -467,15 +466,6 @@ func (c *Coordinator) admit(w http.ResponseWriter, r *http.Request) *fleetPlan {
 	return pl
 }
 
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
 // shardCall groups the front-ends of one request that live on one peer.
 type shardCall struct {
 	p   *peer
@@ -590,7 +580,7 @@ func (c *Coordinator) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := c.startTrace(w, r, "score")
 	var req serve.ScoreRequest
-	if !c.decodeBody(w, r, &req) {
+	if !serve.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
 		c.finishTrace(tr, "score", statusOf(w), false, nil, "bad request")
 		return
 	}
@@ -707,7 +697,7 @@ func (c *Coordinator) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := c.startTrace(w, r, "batch")
 	var req serve.BatchRequest
-	if !c.decodeBody(w, r, &req) {
+	if !serve.DecodeBody(w, r, c.cfg.MaxBodyBytes, &req) {
 		c.finishTrace(tr, "batch", statusOf(w), false, nil, "bad request")
 		return
 	}

@@ -163,7 +163,7 @@ func (p *peer) do(ctx context.Context, path string, hdr http.Header, body []byte
 // hot-swapped between routing and admission degrades this shard instead
 // of silently contributing scores from another generation.
 func (p *peer) score(ctx context.Context, gen int64, traceparent string, req *serve.ScoreRequest) (*serve.ScoreResponse, error) {
-	body, err := json.Marshal(req)
+	body, err := serve.MarshalScoreRequest(req)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func (p *peer) score(ctx context.Context, gen int64, traceparent string, req *se
 
 // batch runs one /v1/score/batch RPC (same contract as score).
 func (p *peer) batch(ctx context.Context, gen int64, traceparent string, req *serve.BatchRequest) (*serve.BatchResponse, error) {
-	body, err := json.Marshal(req)
+	body, err := serve.MarshalBatchRequest(req)
 	if err != nil {
 		return nil, err
 	}

@@ -375,15 +375,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) *Model {
 	return m
 }
 
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
 // submit admits one resolved utterance into the batcher and translates
 // backpressure into HTTP semantics. span, when non-nil, becomes the
 // job's trace node: resolution and queue wait record as children, and
@@ -460,7 +451,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		dsp = tr.root.StartChild("decode")
 	}
-	ok := s.decodeBody(w, r, &req)
+	ok := DecodeBody(w, r, s.cfg.MaxBodyBytes, &req)
 	if dsp != nil {
 		dsp.End()
 	}
@@ -565,7 +556,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		tr.modelVer = m.Version
 	}
 	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Utterances) == 0 {
